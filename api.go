@@ -234,7 +234,8 @@ func WriteRunXML(w io.Writer, r *Run, a *DataAnnotation, workflowName string) er
 }
 
 // ReadRunXML decodes and validates a run (and data annotation, if items
-// are present) against its specification.
+// are present) against its specification. It also reads the binary RUN1
+// form stores keep runs in, told apart by its leading magic.
 func ReadRunXML(rd io.Reader, s *Spec) (*Run, *DataAnnotation, error) {
 	return xmlio.DecodeRun(rd, s)
 }

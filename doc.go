@@ -57,7 +57,8 @@
 //	curl -X PUT --data-binary @run.xml localhost:8080/runs/r2
 //	provquery -put http://localhost:8080 -run run.xml -as r2 -from b1 -to c3
 //
-// The body is the xmlio run document (data items inline). The server
+// The body is the xmlio run document (data items inline; XML, or the
+// binary RUN1 form the store keeps runs in). The server
 // decodes and validates it against the store's specification, labels it
 // under the serving scheme, persists it through store.PutRun, refreshes
 // the session cache, and answers with the stored snapshot's version and
@@ -300,8 +301,19 @@
 // Labeling.WriteToVersion can pin SKL1 output for rollback
 // compatibility. On the paper's Fig-13 run sizes SKL2 cuts snapshots
 // from ~6.8 to ~4.0 bytes/label and decodes ~3.7x faster than the SKL1
-// streaming reader (see BENCH_3.json; tracked by
-// BenchmarkSnapshotDecode).
+// streaming reader (tracked by BenchmarkSnapshotDecode).
+//
+// Run documents follow the same policy. The store writes each run as
+// RUN1 (internal/xmlio), a binary columnar document — origin column,
+// delta-varint edge lists, a string table of data-item names — that
+// decodes 30-60x faster than the XML it replaced and is 6-28x smaller
+// (a ~1400-vertex QBLAST stand-in run with and without data items;
+// BenchmarkDecodeRun in internal/xmlio). The reader sniffs RUN1's raw magic and parses anything else
+// as XML, so stores written as XML open and answer identically with no
+// migration step, and store.Copy carries either format untouched. XML
+// remains the import/export format: PUT /runs bodies, provgen output
+// and provquery input (PUT /runs also accepts RUN1). The fs backend
+// keeps the runs/<name>.xml file name for either format.
 //
 // # Benchmarks and the perf trend gate
 //

@@ -28,6 +28,42 @@ func New(n int) *Graph {
 	return &Graph{out: make([][]VertexID, n), in: make([][]VertexID, n)}
 }
 
+// FromOut builds a graph from its out-adjacency lists, taking ownership
+// of them. The result equals a graph built by AddEdge over every (u,
+// out[u][k]) in increasing u, then k: the same out- and in-adjacency
+// order, with vertices of degree zero holding nil lists. All in-lists
+// share one backing array, capped per vertex so a later AddEdge
+// reallocates instead of overwriting a neighbor. It panics if a head is
+// out of range, like AddEdge.
+func FromOut(out [][]VertexID) *Graph {
+	g := &Graph{out: out, in: make([][]VertexID, len(out))}
+	deg := make([]int32, len(out))
+	for u, heads := range out {
+		if len(heads) == 0 {
+			out[u] = nil
+		}
+		for _, v := range heads {
+			g.checkVertex(v)
+			deg[v]++
+		}
+		g.m += len(heads)
+	}
+	flat := make([]VertexID, g.m)
+	off := 0
+	for v, d := range deg {
+		if d > 0 {
+			g.in[v] = flat[off : off : off+int(d)]
+			off += int(d)
+		}
+	}
+	for u, heads := range out {
+		for _, v := range heads {
+			g.in[v] = append(g.in[v], VertexID(u))
+		}
+	}
+	return g
+}
+
 // NumVertices returns the number of vertices.
 func (g *Graph) NumVertices() int { return len(g.out) }
 

@@ -446,7 +446,7 @@ func (s *Session) apply(e events.Event) error {
 		}
 		s.origins = append(s.origins, orig)
 		s.counts[orig]++
-		name := fmt.Sprintf("%s%d", s.sp.NameOf(orig), s.counts[orig])
+		name := run.VertexName(s.sp.NameOf(orig), s.counts[orig])
 		s.names = append(s.names, name)
 		s.byName[name] = v
 	}

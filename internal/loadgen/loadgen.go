@@ -186,7 +186,8 @@ type Config struct {
 	// SplitEventLog. Required when Stream has weight; the server must
 	// run with streaming enabled.
 	StreamBatches []StreamBatch
-	// Theta is the zipfian skew over Runs. Default 0.99.
+	// Theta is the zipfian skew over Runs; 0 draws them uniformly.
+	// YCSB's classic skew, provload's default, is 0.99.
 	Theta float64
 	// Seed makes client schedules and query choices deterministic.
 	Seed int64
@@ -326,9 +327,6 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	if cfg.BatchPairs <= 0 {
 		cfg.BatchPairs = 16
-	}
-	if cfg.Theta == 0 {
-		cfg.Theta = 0.99
 	}
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 4 * cfg.Clients

@@ -3,7 +3,10 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -50,6 +53,7 @@ func TestLoadSmoke(t *testing.T) {
 		PutBodies:     corpus.PutBodies,
 		StreamBatches: batches,
 		BatchPairs:    8,
+		Theta:         0.99,
 		Seed:          1,
 		SLO:           &SLO{ReadP99: 5 * time.Second, WriteP99: 5 * time.Second, MaxErrorRate: 0},
 	})
@@ -137,6 +141,7 @@ func TestLoadSheddingUnderTightAdmission(t *testing.T) {
 		Duration: time.Second,
 		Mix:      Mix{Reachable: 1},
 		Runs:     corpus.Runs,
+		Theta:    0.99,
 		Seed:     1,
 	})
 	if err != nil {
@@ -147,5 +152,59 @@ func TestLoadSheddingUnderTightAdmission(t *testing.T) {
 	}
 	if rep.Server != nil && rep.Server.RejectedQueue+rep.Server.RejectedRate == 0 {
 		t.Error("server-side rejection counters did not move")
+	}
+}
+
+// TestRunThetaZeroIsUniform checks that a zero Theta really draws runs
+// uniformly instead of falling back to a skew: a stub server counts the
+// run each /reachable request names.
+func TestRunThetaZeroIsUniform(t *testing.T) {
+	const runs = 8
+	var mu sync.Mutex
+	counts := make(map[string]int)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/reachable" {
+			mu.Lock()
+			counts[r.URL.Query().Get("run")]++
+			mu.Unlock()
+		}
+		w.Write([]byte("{}"))
+	}))
+	defer ts.Close()
+	var infos []RunInfo
+	for i := 0; i < runs; i++ {
+		infos = append(infos, RunInfo{Name: fmt.Sprintf("r%d", i), Vertices: 10})
+	}
+	rep, err := Run(context.Background(), Config{
+		BaseURL:  ts.URL,
+		Clients:  2,
+		Rate:     2000,
+		Duration: time.Second,
+		Mix:      Mix{Reachable: 1},
+		Runs:     infos,
+		Seed:     1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Theta != 0 {
+		t.Errorf("report theta = %v, want 0", rep.Theta)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	if total < 400 {
+		t.Fatalf("only %d requests reached the stub", total)
+	}
+	// Under theta 0.99 the hottest of 8 runs draws ~37% of requests,
+	// three times its uniform share; uniform keeps every run near 1/8.
+	for _, ri := range infos {
+		share := float64(counts[ri.Name]) / float64(total)
+		if share < 0.5/runs || share > 1.5/runs {
+			t.Errorf("run %s drew %.3f of %d requests, want about %.3f", ri.Name, share, total, 1.0/runs)
+		}
 	}
 }

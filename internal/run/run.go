@@ -41,7 +41,7 @@ func (r *Run) NameOf(v dag.VertexID) string {
 			rank++
 		}
 	}
-	return fmt.Sprintf("%s%d", r.Spec.NameOf(r.Origin[v]), rank)
+	return VertexName(r.Spec.NameOf(r.Origin[v]), rank)
 }
 
 // Validate checks the basic conformance invariants of the run that do not

@@ -250,19 +250,21 @@ func (p *jparser) vertexRef() (vertexToken, error) {
 		return vertexToken{raw: s, id: -1}, nil
 	}
 	start := p.pos
-	n := 0
+	var n int64
 	for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
-		if n < (math.MaxInt32-9)/10 {
-			n = n*10 + int(p.data[p.pos]-'0')
-		} else {
-			// Out of dag.VertexID range: clamp so it resolves to
-			// "unknown vertex", like any other nonexistent numeric ID.
-			n = math.MaxInt32
+		// Past the dag.VertexID range the value stops growing and is
+		// clamped below, so it resolves to "unknown vertex" like any
+		// other nonexistent numeric ID.
+		if n <= math.MaxInt32 {
+			n = n*10 + int64(p.data[p.pos]-'0')
 		}
 		p.pos++
 	}
 	if p.pos == start {
 		return vertexToken{}, p.syntax("pair element must be a string or non-negative integer")
+	}
+	if p.data[start] == '0' && p.pos-start > 1 {
+		return vertexToken{}, p.syntax("pair element has a leading zero")
 	}
 	if p.pos < len(p.data) {
 		switch p.data[p.pos] {
@@ -270,7 +272,7 @@ func (p *jparser) vertexRef() (vertexToken, error) {
 			return vertexToken{}, p.syntax("pair element must be an integer")
 		}
 	}
-	return vertexToken{raw: p.data[start:p.pos], id: n}, nil
+	return vertexToken{raw: p.data[start:p.pos], id: int(min(n, math.MaxInt32))}, nil
 }
 
 // str parses a JSON string and returns its bytes — a zero-copy subslice
@@ -339,16 +341,11 @@ func (p *jparser) strEscaped(start int) ([]byte, error) {
 					return nil, err
 				}
 				if utf16.IsSurrogate(r) {
-					if p.pos+1 < len(p.data) && p.data[p.pos] == '\\' && p.data[p.pos+1] == 'u' {
-						p.pos += 2
-						r2, err := p.hex4()
-						if err != nil {
-							return nil, err
-						}
-						r = utf16.DecodeRune(r, r2)
-					} else {
-						r = utf8.RuneError
-					}
+					// Like encoding/json, consume a following \u escape
+					// only when it completes a valid pair; otherwise the
+					// lone half decodes to U+FFFD and the escape after it
+					// is read on its own.
+					r = p.lowSurrogate(r)
 				}
 				out = utf8.AppendRune(out, r)
 			default:
@@ -357,6 +354,25 @@ func (p *jparser) strEscaped(start int) ([]byte, error) {
 		}
 	}
 	return nil, p.syntax("unterminated string")
+}
+
+// lowSurrogate completes the UTF-16 pair that starts with the high
+// half r, consuming the low half's \u escape, or returns U+FFFD and
+// consumes nothing when no valid low half follows.
+func (p *jparser) lowSurrogate(r rune) rune {
+	if p.pos+6 > len(p.data) || p.data[p.pos] != '\\' || p.data[p.pos+1] != 'u' {
+		return utf8.RuneError
+	}
+	save := p.pos
+	p.pos += 2
+	r2, err := p.hex4()
+	if err == nil {
+		if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
+			return dec
+		}
+	}
+	p.pos = save
+	return utf8.RuneError
 }
 
 func (p *jparser) hex4() (rune, error) {
@@ -436,31 +452,40 @@ func (p *jparser) skipValue(depth int) error {
 	case c == 'n':
 		return p.lit("null")
 	case c == '-' || (c >= '0' && c <= '9'):
-		digits := 0
-		if c == '-' {
-			p.pos++
-		}
-		for p.pos < len(p.data) {
-			switch d := p.data[p.pos]; {
-			case d >= '0' && d <= '9':
-				digits++
-				p.pos++
-			case d == '.', d == 'e', d == 'E', d == '+', d == '-':
-				p.pos++
-			default:
-				if digits == 0 {
-					return p.syntax("invalid number")
-				}
-				return nil
-			}
-		}
-		if digits == 0 {
-			return p.syntax("invalid number")
-		}
-		return nil
+		return p.number()
 	default:
 		return p.syntax("unexpected character")
 	}
+}
+
+// number skips a JSON number, enforcing its grammar:
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+func (p *jparser) number() error {
+	p.eat('-')
+	if !p.eat('0') && p.digits() == 0 {
+		return p.syntax("invalid number")
+	}
+	if p.eat('.') && p.digits() == 0 {
+		return p.syntax("invalid number fraction")
+	}
+	if p.eat('e') || p.eat('E') {
+		if !p.eat('+') {
+			p.eat('-')
+		}
+		if p.digits() == 0 {
+			return p.syntax("invalid number exponent")
+		}
+	}
+	return nil
+}
+
+// digits consumes a run of decimal digits and returns its length.
+func (p *jparser) digits() int {
+	start := p.pos
+	for p.pos < len(p.data) && p.data[p.pos] >= '0' && p.data[p.pos] <= '9' {
+		p.pos++
+	}
+	return p.pos - start
 }
 
 func (p *jparser) lit(s string) error {

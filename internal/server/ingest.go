@@ -18,6 +18,12 @@ import (
 // is off unless Config.EnableIngest is set: a provserve fronting a
 // read-only store stays read-only.
 //
+// The body goes through xmlio.DecodeRun, the same reader the store
+// loads runs with, so a binary RUN1 document (what the store keeps) is
+// accepted as well as XML; both are validated the same way. RUN1 packs
+// about ten times more vertices into a byte than XML, so the
+// MaxIngestBytes cap admits correspondingly larger runs in that form.
+//
 // The store contract leaves same-name write/write and write/read races
 // to the caller, and this server is that caller: runLocks is a striped
 // reader/writer lock over run names. A PUT holds the write side across

@@ -40,6 +40,7 @@ func FuzzIngestRun(f *testing.F) {
 	}
 	f.Add(genDoc.String())
 	f.Add(figDoc.String())
+	f.Add(string(xmlio.AppendRun1(nil, r, ann))) // PUT /runs also takes RUN1
 	f.Add(genDoc.String()[:genDoc.Len()/2])
 	f.Add(`<run><vertices><vertex id="0" module="a"/></vertices><edges/></run>`)
 	f.Add(`<run><vertices><vertex id="4294967295" module="a"/></vertices><edges/></run>`)

@@ -3,9 +3,10 @@ package store
 import "io"
 
 // Backend is the blob-level storage substrate under a Store. It moves
-// opaque documents — the specification XML, per-run XML, and per-run
-// label snapshots — without interpreting them; all validation, labeling
-// and snapshot binding happens in Store. Keeping the interface at the
+// opaque documents — the specification XML, per-run documents (RUN1,
+// or XML in older stores), and per-run label snapshots — without
+// interpreting them; all validation, labeling and snapshot binding
+// happens in Store. Keeping the interface at the
 // blob level is what lets one labeling/query layer sit on interchangeable
 // substrates: a directory (fs), RAM (mem), a hash-routed fan-out over
 // child backends (shard), or a future remote/object-store layout.

@@ -21,6 +21,11 @@ import (
 //	<dir>/runs/<name>.xml   one run (+ data items) per file
 //	<dir>/runs/<name>.skl   the run's label snapshot
 //
+// A run file holds a RUN1 document (binary, see internal/xmlio) since
+// runs stopped being stored as XML; files written before then hold XML
+// and still load. The .xml suffix is kept for either format so existing
+// directories, tools and the orphan sweep below keep their names.
+//
 // Writes are crash-safe: every file is written to a hidden temp file in
 // the same directory, fsynced, renamed into place, and the directory is
 // fsynced, so readers only ever observe complete documents and a

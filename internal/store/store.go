@@ -1,6 +1,7 @@
-// Package store persists labeled provenance: the specification, each
-// run's graph and data items (XML), and each run's reachability labels
-// (compact binary snapshots). It is the provenance database the paper
+// Package store persists labeled provenance: the specification (XML),
+// each run's graph and data items (a binary RUN1 document, see
+// internal/xmlio), and each run's reachability labels (compact binary
+// SKL2 snapshots). It is the provenance database the paper
 // targets — "data can be labeled and stored in a database along with its
 // label" — and supports opening a store and answering provenance queries
 // without relabeling anything.
@@ -19,6 +20,16 @@
 //
 // OpenURL opens any of them from a URL ("fs://dir", a bare path,
 // "mem://dir" to preload a directory into RAM, "shard://a,b,c").
+//
+// # Run documents
+//
+// PutRun stores the run it was handed as RUN1, encoded directly from
+// the in-memory run, never re-encoded through XML. OpenRun reads run
+// documents with xmlio.DecodeRun, which also reads XML: stores written
+// before RUN1, or mixing both formats, open with no migration step.
+// Either way the decoded run and items are validated, and OpenRun checks
+// the label snapshot covers exactly the run's vertices: a stored blob
+// is trusted no more than an upload.
 //
 // # Concurrency
 //
@@ -223,6 +234,8 @@ func (st *Store) PutRunSession(name string, r *run.Run, ann *provdata.Annotation
 }
 
 // putRun is the shared write path: validate, label, encode, persist.
+// The run document is stored as RUN1, encoded straight from the run in
+// hand.
 // It returns the (possibly spec-normalized) run, its labeling, and the
 // stored snapshot's size.
 func (st *Store) putRun(name string, r *run.Run, ann *provdata.Annotation, scheme label.Scheme) (*run.Run, *core.Labeling, int, error) {
@@ -245,15 +258,12 @@ func (st *Store) putRun(name string, r *run.Run, ann *provdata.Annotation, schem
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	var runDoc bytes.Buffer
-	if err := xmlio.EncodeRun(&runDoc, r, ann, st.specName); err != nil {
-		return nil, nil, 0, err
-	}
+	runDoc := xmlio.AppendRun1(nil, r, ann)
 	var labels bytes.Buffer
 	if _, err := l.WriteTo(&labels); err != nil {
 		return nil, nil, 0, err
 	}
-	if err := st.backend.WriteRun(name, runDoc.Bytes(), labels.Bytes()); err != nil {
+	if err := st.backend.WriteRun(name, runDoc, labels.Bytes()); err != nil {
 		return nil, nil, 0, err
 	}
 	return r, l, labels.Len(), nil

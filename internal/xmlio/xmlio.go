@@ -1,11 +1,18 @@
 // Package xmlio serializes workflow specifications, runs and data
-// annotations as XML, mirroring the paper's storage format ("both the
-// specification and runs are stored as XML files"). Parsing time is
-// excluded from all measurements, as in the paper.
+// annotations. XML mirrors the paper's storage format ("both the
+// specification and runs are stored as XML files") and stays the
+// import/export format: PUT /runs bodies, provgen output, provquery
+// input. Runs inside a store are kept as RUN1 instead (see run1.go), a
+// binary columnar document that decodes without a tokenizer; DecodeRun
+// reads both, telling them apart by RUN1's raw magic, so stores written
+// as XML keep loading. Parsing time is excluded from all measurements,
+// as in the paper.
 package xmlio
 
 import (
+	"bytes"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 
@@ -149,15 +156,7 @@ func EncodeRun(w io.Writer, r *run.Run, ann *provdata.Annotation, workflowName s
 	for v := 0; v < r.NumVertices(); v++ {
 		x.Vertices = append(x.Vertices, xmlVertex{ID: v, Module: string(r.Spec.NameOf(r.Origin[v]))})
 	}
-	itemsOn := make(map[dag.Edge][]string)
-	if ann != nil {
-		for _, it := range ann.Items {
-			for _, c := range it.Consumers {
-				e := dag.Edge{Tail: it.Producer, Head: c}
-				itemsOn[e] = append(itemsOn[e], it.Name)
-			}
-		}
-	}
+	itemsOn := channelItems(ann)
 	for _, e := range r.Graph.Edges() {
 		x.Edges = append(x.Edges, xmlRunEdge{
 			From:  int(e.Tail),
@@ -175,9 +174,81 @@ func EncodeRun(w io.Writer, r *run.Run, ann *provdata.Annotation, workflowName s
 	return err
 }
 
-// DecodeRun reads a run (and its data annotation, if any items are
-// present) against the given specification and validates it.
+// channelItems maps each channel to the names of the items flowing over
+// it, in annotation order.
+func channelItems(ann *provdata.Annotation) map[dag.Edge][]string {
+	itemsOn := make(map[dag.Edge][]string)
+	if ann != nil {
+		for _, it := range ann.Items {
+			for _, c := range it.Consumers {
+				e := dag.Edge{Tail: it.Producer, Head: c}
+				itemsOn[e] = append(itemsOn[e], it.Name)
+			}
+		}
+	}
+	return itemsOn
+}
+
+// itemGrouper rebuilds data items from the (channel, item name) pairs
+// of a run document, read in document order: an item is one (producer,
+// name), numbered at its first channel, with its consumers in channel
+// order.
+type itemGrouper struct {
+	consumers map[itemKey][]dag.VertexID
+	order     []itemKey
+}
+
+type itemKey struct {
+	producer dag.VertexID
+	name     string
+}
+
+func (g *itemGrouper) add(from, to dag.VertexID, name string) {
+	if g.consumers == nil {
+		g.consumers = make(map[itemKey][]dag.VertexID)
+	}
+	k := itemKey{from, name}
+	if _, ok := g.consumers[k]; !ok {
+		g.order = append(g.order, k)
+	}
+	g.consumers[k] = append(g.consumers[k], to)
+}
+
+func (g *itemGrouper) items() []provdata.Item {
+	var items []provdata.Item
+	for i, k := range g.order {
+		items = append(items, provdata.Item{
+			ID:        provdata.ItemID(i),
+			Name:      k.name,
+			Producer:  k.producer,
+			Consumers: g.consumers[k],
+		})
+	}
+	return items
+}
+
+// DecodeRun reads a run document, RUN1 or XML, against the given
+// specification and validates the run and its data annotation (nil when
+// the document has no items). A document starting with RUN1's raw magic
+// is binary; anything else is parsed as XML. Both forms of one run
+// decode to deeply equal results.
 func DecodeRun(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation, error) {
+	var head [len(run1Magic)]byte
+	n, err := io.ReadFull(rd, head[:])
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil, nil, fmt.Errorf("xmlio: read run: %w", err)
+	}
+	if string(head[:n]) != run1Magic {
+		return decodeRunXML(io.MultiReader(bytes.NewReader(head[:n]), rd), s)
+	}
+	rest, err := io.ReadAll(rd)
+	if err != nil {
+		return nil, nil, fmt.Errorf("xmlio: read run: %w", err)
+	}
+	return decodeRun1(rest, s)
+}
+
+func decodeRunXML(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation, error) {
 	var x xmlRun
 	if err := xml.NewDecoder(rd).Decode(&x); err != nil {
 		return nil, nil, fmt.Errorf("xmlio: decode run: %w", err)
@@ -194,41 +265,29 @@ func DecodeRun(rd io.Reader, s *spec.Spec) (*run.Run, *provdata.Annotation, erro
 		return nil, nil, err
 	}
 	g := dag.New(len(names))
-	type itemKey struct {
-		producer dag.VertexID
-		name     string
-	}
-	consumers := make(map[itemKey][]dag.VertexID)
-	var order []itemKey
+	var items itemGrouper
 	for _, e := range x.Edges {
 		if e.From < 0 || e.From >= len(names) || e.To < 0 || e.To >= len(names) {
 			return nil, nil, fmt.Errorf("xmlio: run edge %d->%d out of range", e.From, e.To)
 		}
 		g.AddEdge(dag.VertexID(e.From), dag.VertexID(e.To))
 		for _, item := range e.Items {
-			k := itemKey{dag.VertexID(e.From), item}
-			if _, ok := consumers[k]; !ok {
-				order = append(order, k)
-			}
-			consumers[k] = append(consumers[k], dag.VertexID(e.To))
+			items.add(dag.VertexID(e.From), dag.VertexID(e.To), item)
 		}
 	}
-	r := &run.Run{Spec: s, Graph: g, Origin: origin}
+	return validated(&run.Run{Spec: s, Graph: g, Origin: origin}, items.items())
+}
+
+// validated checks a decoded run and its items, whatever the codec: a
+// stored document is trusted no more than an uploaded one.
+func validated(r *run.Run, items []provdata.Item) (*run.Run, *provdata.Annotation, error) {
 	if err := r.Validate(); err != nil {
 		return nil, nil, err
 	}
-	if len(order) == 0 {
+	if len(items) == 0 {
 		return r, nil, nil
 	}
-	ann := &provdata.Annotation{Run: r}
-	for i, k := range order {
-		ann.Items = append(ann.Items, provdata.Item{
-			ID:        provdata.ItemID(i),
-			Name:      k.name,
-			Producer:  k.producer,
-			Consumers: consumers[k],
-		})
-	}
+	ann := &provdata.Annotation{Run: r, Items: items}
 	if err := ann.Validate(); err != nil {
 		return nil, nil, err
 	}
